@@ -5,7 +5,7 @@ One line of ``BENCH_HISTORY.jsonl`` is one benchmark run:
 .. code-block:: json
 
     {"meta": {"schema_version": 2, "git_sha": "…", "host": {…},
-              "timestamp": "…", "config": {…}},
+              "timestamp": "…", "config": {…}, "threads": {…}},
      "benchmark": "kernels", "...": "the result document"}
 
 The ``meta`` block is what makes old and new records distinguishable —
@@ -27,6 +27,7 @@ from typing import Any, Dict, List, Optional, Union
 
 from ..core.errors import BenchmarkError
 from ..hardware.host import host_fingerprint
+from ..runtime.threads import threads_report
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -61,8 +62,14 @@ def git_sha(cwd: Optional[_PathLike] = None) -> str:
     return sha if out.returncode == 0 and sha else "unknown"
 
 
-def make_meta(config: Dict[str, Any]) -> Dict[str, Any]:
-    """The provenance block benchmark writers attach to their results."""
+def make_meta(
+    config: Dict[str, Any], executor: str = "lockstep", num_ranks: int = 1
+) -> Dict[str, Any]:
+    """The provenance block benchmark writers attach to their results.
+
+    ``threads`` records the thread settings ``num_ranks`` ranks under
+    ``executor`` ran with (see :func:`repro.runtime.threads.threads_report`).
+    """
     return {
         "schema_version": SCHEMA_VERSION,
         "git_sha": git_sha(),
@@ -71,6 +78,7 @@ def make_meta(config: Dict[str, Any]) -> Dict[str, Any]:
             "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
         ),
         "config": dict(config),
+        "threads": threads_report(executor, num_ranks),
     }
 
 

@@ -17,7 +17,7 @@ schema-v2 :func:`repro.bench.make_meta` provenance block:
       "result": {"mflups": 1234.5, "...": "runner-specific"},
       "error": null,
       "meta": {"schema_version": 2, "git_sha": "…", "host": {…},
-               "timestamp": "…", "config": {…}}
+               "timestamp": "…", "config": {…}, "threads": {…}}
     }
 
 Because the filename is the content address, resume is just "skip cells
@@ -129,7 +129,11 @@ class ResultStore:
             "result": result,
             "error": error,
             "meta": make_meta(
-                {"runner": cell.runner, "params": dict(cell.params)}
+                {"runner": cell.runner, "params": dict(cell.params)},
+                # only solver cells name an executor; their rank count
+                # defaults to 2
+                executor=str(cell.params.get("executor", "lockstep")),
+                num_ranks=int(cell.params.get("num_ranks", 2)),
             ),
         }
         self.root.mkdir(parents=True, exist_ok=True)

@@ -177,6 +177,11 @@ def _cmd_harvey(args: argparse.Namespace) -> int:
                 print(f"  postmortem bundle written to {written}")
     finally:
         app.close()
+    if telemetry:
+        from .telemetry import get_registry
+
+        # each forked rank's effective BLAS/OpenMP thread counts
+        telemetry.adopt_gauges(get_registry(), "runtime.threads.")
     print(
         f"harvey: workload={report.workload} ranks={report.num_ranks} "
         f"steps={report.steps} fluid={report.fluid_nodes}"

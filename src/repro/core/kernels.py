@@ -25,7 +25,7 @@ buffer reuse differs).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -89,6 +89,10 @@ class Workspace:
 
     def num_buffers(self) -> int:
         return len(self._bufs)
+
+    def buffer_names(self) -> List[str]:
+        """Names of the scratch buffers allocated so far, sorted."""
+        return sorted({name for name, _ in self._bufs})
 
 
 def _gather_fi(

@@ -82,6 +82,7 @@ from ..runtime.events import CommEvent
 from ..runtime.executor import make_executor
 from ..runtime.requests import Request, irecv, isend, waitall
 from ..runtime.simmpi import SimComm
+from ..runtime.threads import thread_budget
 from ..telemetry.metrics import get_registry
 from ..telemetry.spans import get_tracer
 
@@ -168,6 +169,11 @@ class DistributedSolver:
         self.tracer = get_tracer() if tracer is None else tracer
         self.executor = make_executor(
             config.executor, partition.num_ranks, tracer=self.tracer
+        )
+        #: threads each concurrently running rank may use (BLAS in the
+        #: executor, OpenMP in the compiled kernels)
+        self.thread_budget = thread_budget(
+            config.executor, partition.num_ranks
         )
         self._pending: List[
             Optional[Tuple[List[Request], Dict[int, Request]]]
@@ -417,11 +423,14 @@ class DistributedSolver:
             # the barrier and the overlapped schedules run compiled
             from ..models.compiled import CompiledKernels
 
+            # the OpenMP share of the per-rank thread budget, fixed here
+            # before the lazy fork so process-tier workers inherit it
             self._kern = CompiledKernels(
                 self.lattice,
                 self.collision,
                 backend=self.config.backend,
                 fastmath=self.config.fastmath,
+                num_threads=self.thread_budget,
             )
             for st in self.ranks:
                 assert st.step_plan is not None
@@ -535,6 +544,14 @@ class DistributedSolver:
         )
         self._mass_contribs = np.empty(num_ranks, dtype=np.float64)
 
+    @property
+    def omp_threads(self) -> int:
+        """The OpenMP thread count each rank's compiled kernels run with
+        (the budget itself on the NumPy backend, which has no kernels)."""
+        if self._kern is not None:
+            return self._kern.num_threads
+        return self.thread_budget
+
     # -- stepping ----------------------------------------------------------
     # Each phase body is a per-rank function dispatched through the
     # lockstep executor, which emits one span per rank per phase when a
@@ -544,12 +561,18 @@ class DistributedSolver:
         st = self.ranks[rank]
         if self._san is not None:
             self._san.access_log.record(rank, f"rank{st.rank}.f", "write")
+        # owned nodes are the prefix of the local numbering
         if self._kern is not None:
-            # owned nodes are the prefix of the local numbering
             self._kern.collide(st.f, st.num_owned)
             return
+        # colliding on the prefix view lets the kernels work in place:
+        # no (q, num_owned) gather copy and scatter-back of the owned
+        # columns
         self.collision.apply(
-            self.lattice, st.f, st.owned_ids, workspace=st.workspace
+            self.lattice,
+            st.f[:, : st.num_owned],
+            st.owned_ids,
+            workspace=st.workspace,
         )
 
     def _phase_exchange_post(self, rank: int) -> None:

@@ -371,6 +371,12 @@ def run_overlap_bench(
                 "telemetry_plane": (
                     _plane_enabled() if "process" in chosen else None
                 ),
-            }
+            },
+            # thread settings of the widest concurrent configuration
+            executor=next(
+                (e for e in ("process", "parallel") if e in chosen),
+                "lockstep",
+            ),
+            num_ranks=max(int(n) for n in rank_counts),
         ),
     )

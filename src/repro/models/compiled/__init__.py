@@ -17,6 +17,7 @@ compiled backend raises
 
 from __future__ import annotations
 
+from ...runtime.threads import prefer_passive_wait
 from .availability import (
     COMPILED_BACKENDS,
     PROVIDER_ENV,
@@ -30,6 +31,11 @@ from .availability import (
 )
 from .engine import CompiledKernels, collision_op_code
 from .model import CompiledModel
+
+# every OpenMP load (the numba import, the cgen kernel library) happens
+# lazily behind this package: default libgomp to idle workers that sleep
+# rather than spin, before any of it loads
+prefer_passive_wait()
 
 __all__ = [
     "COMPILED_BACKENDS",

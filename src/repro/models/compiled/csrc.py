@@ -10,7 +10,9 @@ configuration and is compiled at most twice per host (exact and
 ``-ffast-math`` variants), cached under a content-hashed path.
 
 Thread parallelism uses OpenMP when the trial compile accepts
-``-fopenmp``; the parallel entry points simply run serially otherwise.
+``-fopenmp``: every entry point takes an explicit thread count
+(``num_threads(n) if (n > 1)``), so a count of 1 — or a build without
+OpenMP — runs the loop serially.
 All index tables are ``int64`` and C-contiguous — the ABI contract the
 K406 plan lint enforces.
 """
@@ -200,11 +202,12 @@ static inline void collide_loop(double *f, int64_t n_nodes,
                                 const double *cf, const double *w,
                                 const int64_t *opp, const double *M,
                                 const double *Minv, const double *S,
-                                int64_t par)
+                                int64_t nthreads)
 {
     const int64_t nl = p->num_local;
     const int64_t nblocks = (n_nodes + NB - 1) / NB;
-    #pragma omp parallel for schedule(static) if (par)
+    #pragma omp parallel for schedule(static) num_threads(nthreads) \
+        if (nthreads > 1)
     for (int64_t b = 0; b < nblocks; b++) {
         const int64_t node0 = b * NB;
         const int64_t nb =
@@ -226,19 +229,21 @@ static inline void collide_loop(double *f, int64_t n_nodes,
 void repro_collide(double *f, int64_t n_nodes, const repro_params *p,
                    const double *cf, const double *w, const int64_t *opp,
                    const double *M, const double *Minv, const double *S,
-                   int64_t par)
+                   int64_t nthreads)
 {
     if (p->q == 19)
-        collide_loop(f, n_nodes, p, 19, cf, w, opp, M, Minv, S, par);
+        collide_loop(f, n_nodes, p, 19, cf, w, opp, M, Minv, S, nthreads);
     else
-        collide_loop(f, n_nodes, p, p->q, cf, w, opp, M, Minv, S, par);
+        collide_loop(f, n_nodes, p, p->q, cf, w, opp, M, Minv, S,
+                     nthreads);
 }
 
 /* Fused streaming + bounce-back: one flat gather over all links. */
 void repro_stream(const double *fsrc, double *fdst, const int64_t *src,
-                  const int64_t *dst, int64_t n_links, int64_t par)
+                  const int64_t *dst, int64_t n_links, int64_t nthreads)
 {
-    #pragma omp parallel for schedule(static) if (par)
+    #pragma omp parallel for schedule(static) num_threads(nthreads) \
+        if (nthreads > 1)
     for (int64_t i = 0; i < n_links; i++)
         fdst[dst[i]] = fsrc[src[i]];
 }
@@ -253,11 +258,12 @@ static inline void fused_step_loop(const double *fsrc, double *fdst,
                                    const double *cf, const double *w,
                                    const int64_t *opp, const double *M,
                                    const double *Minv, const double *S,
-                                   int64_t par)
+                                   int64_t nthreads)
 {
     const int64_t nl = p->num_local;
     const int64_t nblocks = (n_upd + NB - 1) / NB;
-    #pragma omp parallel for schedule(static) if (par)
+    #pragma omp parallel for schedule(static) num_threads(nthreads) \
+        if (nthreads > 1)
     for (int64_t b = 0; b < nblocks; b++) {
         const int64_t node0 = b * NB;
         const int64_t nb = (n_upd - node0 < NB) ? (n_upd - node0) : NB;
@@ -278,14 +284,15 @@ void repro_fused_step(const double *fsrc, double *fdst,
                       const int64_t *flat_src, int64_t n_upd,
                       const repro_params *p, const double *cf,
                       const double *w, const int64_t *opp, const double *M,
-                      const double *Minv, const double *S, int64_t par)
+                      const double *Minv, const double *S,
+                      int64_t nthreads)
 {
     if (p->q == 19)
         fused_step_loop(fsrc, fdst, flat_src, n_upd, p, 19, cf, w, opp,
-                        M, Minv, S, par);
+                        M, Minv, S, nthreads);
     else
         fused_step_loop(fsrc, fdst, flat_src, n_upd, p, p->q, cf, w,
-                        opp, M, Minv, S, par);
+                        opp, M, Minv, S, nthreads);
 }
 """
 
@@ -433,29 +440,29 @@ class KernelLib:
     def _i64(arr: np.ndarray):
         return arr.ctypes.data_as(ctypes.POINTER(ctypes.c_int64))
 
-    def collide(self, f, n_nodes, params, tables, par: bool) -> None:
+    def collide(self, f, n_nodes, params, tables, nthreads: int) -> None:
         cf, w, opp, M, Minv, S = tables
         self._lib.repro_collide(
             self._dbl(f), n_nodes, ctypes.byref(params), self._dbl(cf),
             self._dbl(w), self._i64(opp), self._dbl(M), self._dbl(Minv),
-            self._dbl(S), int(par),
+            self._dbl(S), nthreads,
         )
 
-    def stream(self, f_src, f_dst, src, dst, par: bool) -> None:
+    def stream(self, f_src, f_dst, src, dst, nthreads: int) -> None:
         self._lib.repro_stream(
             self._dbl(f_src), self._dbl(f_dst), self._i64(src),
-            self._i64(dst), src.size, int(par),
+            self._i64(dst), src.size, nthreads,
         )
 
     def fused_step(
-        self, f_src, f_dst, flat_src, n_upd, params, tables, par: bool
+        self, f_src, f_dst, flat_src, n_upd, params, tables, nthreads: int
     ) -> None:
         cf, w, opp, M, Minv, S = tables
         self._lib.repro_fused_step(
             self._dbl(f_src), self._dbl(f_dst), self._i64(flat_src), n_upd,
             ctypes.byref(params), self._dbl(cf), self._dbl(w),
             self._i64(opp), self._dbl(M), self._dbl(Minv), self._dbl(S),
-            int(par),
+            nthreads,
         )
 
 

@@ -19,6 +19,11 @@ needs:
 
 Kernel inputs follow the K406 ABI contract: int64, C-contiguous index
 tables; float64, C-contiguous distribution arrays.
+
+``num_threads`` is the explicit thread count every kernel call runs
+with: 1 for the serial variant, else the per-rank budget of
+:mod:`repro.runtime.threads` (every usable core unless the caller — the
+distributed solver, for concurrently running ranks — passes less).
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import numpy as np
 
 from ...core.errors import ConfigError
 from ...core.lattice import Lattice
+from ...runtime.threads import usable_cores
 from .availability import normalize_backend, require_compiled
 from .kernels_py import OP_BGK, OP_MRT, OP_TRT
 
@@ -59,12 +65,19 @@ class CompiledKernels:
         backend: str = "compiled",
         fastmath: bool = True,
         provider: Optional[str] = None,
+        num_threads: Optional[int] = None,
     ) -> None:
         self.backend = normalize_backend(backend)
         self.provider = (
             provider if provider is not None else require_compiled(backend)
         )
         self.parallel = self.backend == "compiled-parallel"
+        if not self.parallel:
+            self.num_threads = 1
+        elif num_threads is None:
+            self.num_threads = usable_cores()
+        else:
+            self.num_threads = max(1, int(num_threads))
         self.fastmath = bool(fastmath)
         self.lattice = lattice
 
@@ -128,6 +141,10 @@ class CompiledKernels:
         jit = numba.njit(
             parallel=self.parallel, fastmath=self.fastmath, cache=True
         )
+        if self.parallel:
+            numba.set_num_threads(
+                min(self.num_threads, numba.config.NUMBA_NUM_THREADS)
+            )
         self._nb_collide = jit(kernels_py.collide_nodes_loop)
         self._nb_stream = jit(kernels_py.stream_links_loop)
         self._nb_fused = jit(kernels_py.fused_step_loop)
@@ -165,7 +182,8 @@ class CompiledKernels:
         n = num_local if n_nodes is None else int(n_nodes)
         if self.provider == "cgen":
             self._clib.collide(
-                f, n, self._cparams(num_local), self._ctables, self.parallel
+                f, n, self._cparams(num_local), self._ctables,
+                self.num_threads,
             )
             return
         self._nb_collide(
@@ -184,7 +202,7 @@ class CompiledKernels:
     ) -> None:
         """Fused streaming + bounce-back over flat int64 link tables."""
         if self.provider == "cgen":
-            self._clib.stream(f_src, f_dst, src, dst, self.parallel)
+            self._clib.stream(f_src, f_dst, src, dst, self.num_threads)
             return
         self._nb_stream(
             f_src.reshape(-1), f_dst.reshape(-1), src, dst, src.size
@@ -207,7 +225,7 @@ class CompiledKernels:
         if self.provider == "cgen":
             self._clib.fused_step(
                 f_src, f_dst, flat_src, n_upd, self._cparams(num_local),
-                self._ctables, self.parallel,
+                self._ctables, self.num_threads,
             )
             return
         self._nb_fused(

@@ -32,6 +32,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.errors import RuntimeSimError
 from ..telemetry.spans import SpanRecord, get_tracer
+from .threads import hold_blas_threads, release_blas_threads, thread_budget
 
 __all__ = [
     "AccessConflict",
@@ -221,6 +222,10 @@ class ParallelExecutor:
     The first exception raised by any rank is re-raised in the caller
     after the barrier (remaining ranks still complete the phase, keeping
     shared state consistent).
+
+    While the pool is alive the process's BLAS pool is held at the
+    per-rank thread budget (usable cores over pool threads, see
+    :mod:`repro.runtime.threads`); :meth:`shutdown` gives it back.
     """
 
     def __init__(
@@ -238,10 +243,14 @@ class ParallelExecutor:
         self.tracer = get_tracer() if tracer is None else tracer
         #: optional PhaseAccessLog advanced once per phase (sanitize mode)
         self.access_log: Optional[PhaseAccessLog] = None
+        workers = min(num_ranks, max_workers or num_ranks)
         self._pool = ThreadPoolExecutor(
-            max_workers=min(num_ranks, max_workers or num_ranks),
+            max_workers=workers,
             thread_name_prefix="repro-rank",
         )
+        #: BLAS threads in force while the pool is alive
+        self.threads = thread_budget("parallel", workers)
+        self._blas_hold: Optional[int] = hold_blas_threads(self.threads)
 
     def run_phase(
         self,
@@ -319,13 +328,20 @@ class ParallelExecutor:
         for fn in phases:
             self.run_phase(fn)
 
+    def _release_blas(self) -> None:
+        hold, self._blas_hold = self._blas_hold, None
+        if hold is not None:
+            release_blas_threads(hold)
+
     def shutdown(self) -> None:
-        """Release the worker threads (idempotent)."""
+        """Release the worker threads and the BLAS hold (idempotent)."""
         self._pool.shutdown(wait=True)
+        self._release_blas()
 
     def __del__(self) -> None:  # best-effort cleanup
         try:
             self._pool.shutdown(wait=False)
+            self._release_blas()
         except Exception:
             pass
 

@@ -65,6 +65,12 @@ from ..core.errors import (
 )
 from ..telemetry.spans import SpanRecord, get_tracer, set_tracer
 from .executor import PhaseAccessLog
+from .threads import (
+    publish_rank_threads,
+    rank_cores,
+    set_blas_threads,
+    thread_budget,
+)
 
 __all__ = ["ProcessExecutor", "fork_available"]
 
@@ -82,9 +88,20 @@ def fork_available() -> bool:
 
 
 def _worker_main(
-    rank: int, conn, target: Optional[object], plane: Optional[object]
+    rank: int,
+    conn,
+    target: Optional[object],
+    plane: Optional[object],
+    threads: int,
+    cores: Optional[List[int]],
 ) -> None:
     """Worker loop: receive phase commands, run them, ack with timing.
+
+    Before the loop the worker binds to its ``cores`` (if any), caps its
+    OpenBLAS pool at ``threads`` (the per-rank budget of
+    :mod:`repro.runtime.threads`) and records its effective BLAS/OpenMP
+    counts as ``runtime.threads.*`` gauges; the OpenMP count is the
+    target's ``omp_threads`` when it has one.
 
     With a telemetry plane attached the worker owns a
     :class:`~repro.telemetry.plane.WorkerAgent`: the process-wide tracer
@@ -104,6 +121,13 @@ def _worker_main(
             if target is not None and hasattr(target, "tracer"):
                 target.tracer = agent.tracer
     try:
+        if cores is not None:
+            os.sched_setaffinity(0, cores)
+        set_blas_threads(threads)
+        # after the agent's fork-time snapshot, so the gauges travel to
+        # the parent with the first phase's metric deltas
+        omp = int(getattr(target, "omp_threads", threads))
+        publish_rank_threads(rank, omp)
         while True:
             try:
                 msg = conn.recv()
@@ -174,6 +198,10 @@ class ProcessExecutor:
         import multiprocessing
 
         self.num_ranks = num_ranks
+        #: BLAS threads each worker runs with (the parent is untouched)
+        self.threads = thread_budget("process", num_ranks)
+        #: cores each worker binds to (None: left to the scheduler)
+        self.cores = [rank_cores(r, num_ranks) for r in range(num_ranks)]
         self.phases_run = 0
         self.tracer = get_tracer() if tracer is None else tracer
         #: optional PhaseAccessLog advanced once per phase (sanitize mode);
@@ -206,7 +234,14 @@ class ProcessExecutor:
             parent_conn, child_conn = self._mp.Pipe()
             proc = self._mp.Process(
                 target=_worker_main,
-                args=(rank, child_conn, target, self.plane),
+                args=(
+                    rank,
+                    child_conn,
+                    target,
+                    self.plane,
+                    self.threads,
+                    self.cores[rank],
+                ),
                 daemon=True,
                 name=f"repro-rank-{rank}",
             )

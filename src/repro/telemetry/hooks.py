@@ -19,7 +19,7 @@ from typing import Callable, List, Optional
 
 from ..runtime.events import CommEvent, EventLog
 from .export import write_chrome_trace, write_metrics
-from .metrics import DEFAULT_BYTE_EDGES, MetricsRegistry
+from .metrics import DEFAULT_BYTE_EDGES, Gauge, MetricsRegistry
 from .spans import Tracer
 
 __all__ = ["attach_comm_metrics", "Telemetry"]
@@ -81,6 +81,18 @@ class Telemetry:
         self.metrics.gauge("run.wall_seconds").set(report.wall_seconds)
         self.metrics.gauge("run.mflups").set(report.mflups)
         self.metrics.gauge("run.mass_drift").set(report.mass_drift)
+
+    def adopt_gauges(self, source: MetricsRegistry, prefix: str) -> None:
+        """Copy ``source``'s gauges whose names start with ``prefix``.
+
+        Forked workers' metrics merge into the process-wide registry over
+        the telemetry plane; this brings the ones a run reports into the
+        bundle's own registry.
+        """
+        for name in source.names():
+            metric = source.get(name)
+            if name.startswith(prefix) and isinstance(metric, Gauge):
+                self.metrics.gauge(name).set(metric.value)
 
     def write(
         self,

@@ -40,6 +40,7 @@ from ..core.errors import ConfigError, TelemetryError
 from ..hardware.host import host_bandwidth_gbs, host_fingerprint
 from ..perfmodel.attribution import attribute_phases, machine_reference
 from ..perfmodel.model import BYTES_PER_UPDATE_D3Q19
+from ..runtime.threads import threads_report
 from .export import TRACE_PID, chrome_trace
 from .metrics import get_registry
 from .spans import SpanRecord, Tracer
@@ -269,6 +270,7 @@ def run_profile(
         "fluid_nodes": fluid_nodes,
         "bytes_per_update": BYTES_PER_UPDATE_D3Q19,
         "host": host_fingerprint(),
+        "threads": threads_report(executor, num_ranks),
         "host_bandwidth_gbs": float(bandwidth_gbs),
         "bound_mflups": bound_mflups,
         "counters": {
@@ -312,6 +314,16 @@ def render_profile(profile: Dict[str, Any]) -> str:
         f"-> {profile['bound_mflups']:.1f} MFLUPS "
         f"(Eq. 1 at {profile['bytes_per_update']} B/update)",
     ]
+    threads = profile.get("threads")
+    if threads is not None:
+        head.append(
+            f"threads: {threads['usable_cores']} usable core(s) / "
+            f"{threads['concurrent_ranks']} concurrent rank(s) -> BLAS "
+            f"{threads['blas_threads_per_rank']}, OpenMP "
+            f"{threads['omp_threads_per_rank']} per rank (OpenBLAS "
+            f"symbol {'found' if threads['openblas_symbol'] else 'missing'}"
+            f", OMP_WAIT_POLICY={threads['omp_wait_policy']})"
+        )
     if "reference" in profile:
         ref = profile["reference"]
         head.append(

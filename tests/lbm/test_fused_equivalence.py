@@ -16,6 +16,8 @@ StepPlan IR through JIT/C kernels, pinned in two modes:
   workload, banded at ``rtol=1e-8 / atol=1e-11``.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,24 @@ def test_distributed_periodic_force_bitwise(collision):
     legacy.step(STEPS)
     fused.step(STEPS)
     assert np.array_equal(legacy.gather_f(), fused.gather_f())
+
+
+@pytest.mark.parametrize("overlap", [False, True])
+@pytest.mark.parametrize("collision", ["bgk", "trt", "mrt"])
+def test_distributed_collide_needs_no_gather_copy(collision, overlap):
+    # owned nodes are the prefix of each rank's numbering, so ranks
+    # collide in place on f[:, :num_owned]: no workspace ever holds the
+    # (q, num_owned) gather copy "fi" or its scatter source "out"
+    grid = periodic_grid()
+    part = grid_decompose(grid, 4)
+    cfg = replace(periodic_config(collision, fused=True), overlap=overlap)
+    dist = DistributedSolver(part, cfg)
+    dist.step(STEPS)
+    for st in dist.ranks:
+        assert st.num_owned < st.f.shape[1]  # the rank has ghosts
+        names = st.workspace.buffer_names()
+        assert "feq" in names  # the collide ran through the workspace
+        assert "fi" not in names and "out" not in names, (st.rank, names)
 
 
 @pytest.mark.parametrize("collision", ["bgk", "trt"])
