@@ -21,18 +21,31 @@ idx]`` entirely and collide directly in ``f``.  Without a workspace a
 throwaway one is created per call, which reproduces the legacy
 allocate-per-step behaviour bit for bit (the arithmetic is identical; only
 buffer reuse differs).
+
+Cache tiling
+------------
+Every collision operator (BGK here, TRT and MRT in :mod:`repro.lbm`)
+runs through :func:`collide_tiled`, which walks the node set in column
+blocks of at most :data:`TILE` nodes.  The scratch buffers are block
+wide, so the dozen or so passes a collide makes over them hit L2
+instead of main memory.  Every operation is per column, so BGK and TRT
+are bit-identical to colliding all columns at once; MRT's 19x19 moment
+GEMM was already width-sensitive in the last bit (DESIGN.md section 8).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .lattice import Lattice
 
 __all__ = [
+    "TILE",
     "Workspace",
+    "collide_tiled",
     "moments_kernel",
     "equilibrium_kernel",
     "bgk_collide_kernel",
@@ -45,22 +58,35 @@ __all__ = [
 ]
 
 
+#: Column-block width of the tiled collide.  A collide makes about 15
+#: passes over ``(q, m)`` float64 scratch buffers (``feq``, ``cu``,
+#: ``eq_scratch``, ``delta``, ``f``); at ``m = TILE`` each buffer is
+#: 19 x 4096 x 8 B = 0.6 MB, so a block's working set stays in a 2 MiB
+#: L2 where a whole-array pass at 42k nodes (6.4 MB per buffer) streams
+#: from DRAM.  4096 beat 1024 and 2048 on 16k- and 42k-node BGK collides.
+TILE = 4096
+
+BlockKernel = Callable[[np.ndarray, "Workspace"], None]
+
+
 class Workspace:
     """Reusable scratch buffers for the allocation-free kernel paths.
 
     Buffers are keyed by ``(name, shape)`` so the same workspace serves
-    chunked backend launches (full blocks and the tail block allocate
-    distinct buffers once each and reuse them every step).  Per-force
-    Guo constants (the half-force velocity shift and the projections
-    ``c . F``) are cached so they are computed once per run rather than
-    once per kernel invocation.
+    chunked launches and tiled collides (full blocks and the tail block
+    allocate distinct buffers once each and reuse them every step).
+    Per-force Guo constants (the half-force velocity shift and the
+    projections ``c . F``) are cached so they are computed once per run
+    rather than once per kernel invocation; so are the ``TILE`` block
+    bounds of each node count the workspace has collided.
     """
 
-    __slots__ = ("_bufs", "_guo")
+    __slots__ = ("_bufs", "_guo", "_tiles")
 
     def __init__(self) -> None:
         self._bufs: Dict[Tuple[str, Tuple[int, ...]], np.ndarray] = {}
         self._guo: Dict[int, Tuple[np.ndarray, ...]] = {}
+        self._tiles: Dict[int, Tuple[Tuple[int, int], ...]] = {}
 
     def get(self, name: str, shape: Tuple[int, ...]) -> np.ndarray:
         """Return a float64 buffer of ``shape``, reused across calls."""
@@ -94,19 +120,71 @@ class Workspace:
         """Names of the scratch buffers allocated so far, sorted."""
         return sorted({name for name, _ in self._bufs})
 
+    def buffer_shapes(self) -> List[Tuple[str, Tuple[int, ...]]]:
+        """``(name, shape)`` of every scratch buffer allocated so far."""
+        return sorted(self._bufs)
+
+    def tiles(self, m: int) -> Tuple[Tuple[int, int], ...]:
+        """``(start, stop)`` bounds covering ``range(m)`` in blocks of at
+        most ``TILE`` nodes.
+
+        The ``ceil(m / TILE)`` blocks are balanced (widths differ by at
+        most one), so no block is narrower than ``TILE // 2`` unless
+        ``m`` is: a one-column tail would send the moment products
+        through BLAS ``gemv`` instead of ``gemm`` and change their
+        bits.  Cached per ``m``, so the collide's block loop allocates
+        nothing after the first step.
+        """
+        bounds = self._tiles.get(m)
+        if bounds is None:
+            k = -(-m // TILE)
+            bounds = tuple(
+                (i * m // k, (i + 1) * m // k) for i in range(k)
+            )
+            self._tiles[m] = bounds
+        return bounds
+
+
+def collide_tiled(
+    f: np.ndarray,
+    idx: np.ndarray,
+    workspace: Optional[Workspace],
+    block: BlockKernel,
+) -> None:
+    """Collide the columns ``idx`` of ``f`` in blocks of at most ``TILE``.
+
+    ``block(fi, ws)`` collides the ``(q, b)`` block ``fi`` in place,
+    with ``b <= TILE``.  With a caller-owned workspace and an ``idx``
+    covering every column (the single-domain solver's ``arange(n)``, a
+    distributed rank's owned prefix view), each block is the view
+    ``f[:, s:e]`` and no copy is made.  Otherwise each block gathers
+    ``idx[s:e]`` into a workspace buffer and scatters it back.
+
+    The block loop lives here, in launch machinery, so the ``*_kernel``
+    and ``apply`` bodies that call it stay straight-line code.
+    """
+    ws = workspace if workspace is not None else Workspace()
+    if workspace is not None and idx.size == f.shape[1]:
+        for s, e in ws.tiles(idx.size):
+            block(f[:, s:e], ws)
+        return
+    q = f.shape[0]
+    for s, e in ws.tiles(idx.size):
+        sel = idx[s:e]
+        fi = ws.get("fi", (q, e - s))
+        np.take(f, sel, axis=1, out=fi)
+        block(fi, ws)
+        f[:, sel] = fi
+
 
 def _gather_fi(
     f: np.ndarray, idx: np.ndarray, ws: Workspace, allow_inplace: bool
 ) -> Tuple[np.ndarray, bool]:
-    """Gather ``f[:, idx]`` into a workspace buffer.
+    """Gather ``f[:, idx]`` into a workspace buffer for :func:`moments_kernel`.
 
     Fast path (``allow_inplace``, i.e. a caller-owned workspace is in
     play): when ``idx`` covers every column (the single-domain solver
-    passes ``arange(n)``), no copy is made and ``f`` itself is returned —
-    the collide kernels then read and write ``f`` directly.  The legacy
-    path always gathers, reproducing the historical full-array copy
-    (same values either way; the gather lands in C order and the ops are
-    elementwise, so the two paths agree bit for bit).
+    passes ``arange(n)``), no copy is made and ``f`` itself is returned.
     """
     if allow_inplace and idx.size == f.shape[1]:
         return f, True
@@ -245,8 +323,23 @@ def bgk_collide_kernel(
     equilibrium is force-shifted and a source term weighted by
     ``(1 - omega/2)`` is added.
     """
-    ws = workspace if workspace is not None else Workspace()
-    fi, full = _gather_fi(f, idx, ws, workspace is not None)
+    collide_tiled(
+        f,
+        idx,
+        workspace,
+        partial(_bgk_block_kernel, lat, omega=omega, force=force),
+    )
+
+
+def _bgk_block_kernel(
+    lat: Lattice,
+    fi: np.ndarray,
+    ws: Workspace,
+    *,
+    omega: float,
+    force: Optional[np.ndarray],
+) -> None:
+    """BGK on one ``(q, b)`` block, in place (see :func:`collide_tiled`)."""
     q, m = fi.shape
     rho, u = _moments_into(lat, fi, force, ws)
     feq = ws.get("feq", (q, m))
@@ -254,15 +347,12 @@ def bgk_collide_kernel(
     delta = ws.get("delta", (q, m))
     np.subtract(feq, fi, out=delta)
     delta *= omega
-    out = f if full else ws.get("out", (q, m))
-    np.add(fi, delta, out=out)
+    fi += delta
     if force is not None:
         src = ws.get("src", (q, m))
         _guo_source_into(lat, u, cu, force, src, ws)
         src *= 1.0 - 0.5 * omega
-        out += src
-    if not full:
-        f[:, idx] = out
+        fi += src
 
 
 def stream_pull_kernel(

@@ -15,6 +15,7 @@ pins down.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -23,9 +24,9 @@ from ..core.errors import ConfigError
 from ..core.kernels import (
     Workspace,
     _equilibrium_into,
-    _gather_fi,
     _guo_source_into,
     _moments_into,
+    collide_tiled,
 )
 from ..core.lattice import D3Q19, Lattice
 
@@ -159,13 +160,19 @@ class MRTCollision:
     ) -> None:
         """Collide in place in moment space on nodes ``idx``.
 
-        With a :class:`~repro.core.kernels.Workspace` both basis
-        projections run as ``matmul(..., out=)`` into reused buffers and
-        the moment relaxation is fully in place; when ``idx`` covers
-        every node the back-projection writes straight into ``f``.
+        Runs in ``TILE``-node blocks through
+        :func:`~repro.core.kernels.collide_tiled`.  With a
+        :class:`~repro.core.kernels.Workspace` both basis projections run
+        as ``matmul(..., out=)`` into reused block-wide buffers and the
+        moment relaxation is fully in place; when ``idx`` covers every
+        node the back-projection writes straight into ``f``.
         """
-        ws = workspace if workspace is not None else Workspace()
-        fi, full = _gather_fi(f, idx, ws, workspace is not None)
+        collide_tiled(f, idx, workspace, partial(self._block_kernel, lat))
+
+    def _block_kernel(
+        self, lat: Lattice, fi: np.ndarray, ws: Workspace
+    ) -> None:
+        """MRT on one ``(q, b)`` block, in place."""
         q, num = fi.shape
         rho, u = _moments_into(lat, fi, self.force, ws)
         feq = ws.get("feq", (q, num))
@@ -177,13 +184,10 @@ class MRTCollision:
         np.subtract(m, meq, out=meq)
         meq *= self._S[:, None]
         m -= meq
-        out = f if full else ws.get("out", (q, num))
-        np.matmul(self._Minv, m, out=out)
+        np.matmul(self._Minv, m, out=fi)
         if self.force is not None:
             src = ws.get("src", (q, num))
             _guo_source_into(lat, u, cu, self.force, src, ws)
             # the source relaxes with the shear rate, as in Guo's MRT form
             src *= 1.0 - 0.5 / self.tau
-            out += src
-        if not full:
-            f[:, idx] = out
+            fi += src

@@ -16,6 +16,7 @@ production LBM codes (HARVEY included) prefer TRT/MRT near walls.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -24,9 +25,9 @@ from ..core.errors import ConfigError
 from ..core.kernels import (
     Workspace,
     _equilibrium_into,
-    _gather_fi,
     _guo_source_into,
     _moments_into,
+    collide_tiled,
 )
 from ..core.lattice import Lattice
 
@@ -101,14 +102,20 @@ class TRTCollision:
     ) -> None:
         """Collide in place on nodes ``idx``.
 
-        With a :class:`~repro.core.kernels.Workspace` the even/odd
-        split, equilibrium, and Guo source are computed allocation-free
-        into reused buffers; when ``idx`` covers every node the result
-        is written straight into ``f``.
+        Runs in ``TILE``-node blocks through
+        :func:`~repro.core.kernels.collide_tiled`.  With a
+        :class:`~repro.core.kernels.Workspace` the even/odd split,
+        equilibrium, and Guo source are computed allocation-free into
+        reused block-wide buffers; when ``idx`` covers every node each
+        block collides straight in ``f``.
         """
-        ws = workspace if workspace is not None else Workspace()
+        collide_tiled(f, idx, workspace, partial(self._block_kernel, lat))
+
+    def _block_kernel(
+        self, lat: Lattice, fi: np.ndarray, ws: Workspace
+    ) -> None:
+        """TRT on one ``(q, b)`` block, in place."""
         opp = lat.opposite
-        fi, full = _gather_fi(f, idx, ws, workspace is not None)
         q, m = fi.shape
         rho, u = _moments_into(lat, fi, self.force, ws)
         feq = ws.get("feq", (q, m))
@@ -134,9 +141,8 @@ class TRTCollision:
         even *= omega_p
         np.subtract(odd, odd_eq, out=odd)
         odd *= self._omega_minus
-        out = f if full else ws.get("out", (q, m))
-        np.subtract(fi, even, out=out)
-        out -= odd
+        fi -= even
+        fi -= odd
         if self.force is not None:
             src = ws.get("src", (q, m))
             _guo_source_into(lat, u, cu, self.force, src, ws)
@@ -149,8 +155,6 @@ class TRTCollision:
             np.subtract(src, src_opp, out=src_odd)
             src_odd *= 0.5
             src_even *= 1.0 - 0.5 * omega_p
-            out += src_even
+            fi += src_even
             src_odd *= 1.0 - 0.5 * self._omega_minus
-            out += src_odd
-        if not full:
-            f[:, idx] = out
+            fi += src_odd

@@ -1,11 +1,9 @@
 """Simulated MPI runtime: communicator, non-blocking requests, event
 log, and the lockstep / thread-parallel / process-parallel executors
-(plus the shared-memory transport and real-MPI adapter the process and
-MPI tiers use)."""
+(plus the shared-memory transport the process tier uses)."""
 
 from .events import CommEvent, EventLog
 from .executor import LockstepExecutor, ParallelExecutor, make_executor
-from .mpicomm import MPIComm, mpi_available
 from .procexec import ProcessExecutor, fork_available
 from .requests import Request, irecv, isend, waitall
 from .shmem import RingBuffer, RingTransport, SegmentRegistry
@@ -15,8 +13,6 @@ __all__ = [
     "CommEvent",
     "EventLog",
     "SimComm",
-    "MPIComm",
-    "mpi_available",
     "LockstepExecutor",
     "ParallelExecutor",
     "ProcessExecutor",

@@ -21,7 +21,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core.kernels import Workspace, bgk_collide_kernel
+from repro.core.kernels import TILE, Workspace, bgk_collide_kernel
 from repro.core.lattice import D3Q19
 from repro.decomp import grid_decompose
 from repro.geometry.cylinder import CylinderSpec, make_cylinder
@@ -296,6 +296,27 @@ def test_compiled_distributed_bgk_bitwise(overlap):
     ref.step(STEPS)
     comp.step(STEPS)
     assert np.array_equal(ref.gather_f(), comp.gather_f())
+
+
+@compiled_only
+@pytest.mark.parametrize("collision", ["bgk", "trt", "mrt"])
+def test_compiled_exact_mode_across_collide_blocks(collision):
+    # ~8k owned nodes per rank: the NumPy reference collides each rank
+    # in two TILE blocks, so the comparison crosses a block boundary
+    grid = make_cylinder(CylinderSpec(scale=1.0, periodic=True))
+    part = grid_decompose(grid, 2)
+    ref = DistributedSolver(part, periodic_config(collision, fused=True))
+    comp = DistributedSolver(
+        part, compiled_periodic_config(collision, fastmath=False)
+    )
+    assert all(st.num_owned > TILE for st in ref.ranks)
+    ref.step(4)
+    comp.step(4)
+    if collision == "bgk":
+        assert np.array_equal(ref.gather_f(), comp.gather_f())
+    np.testing.assert_allclose(
+        comp.gather_f(), ref.gather_f(), **EXACT_TOL
+    )
 
 
 @compiled_only
